@@ -1,33 +1,26 @@
-// FLEETCAMPAIGN — the work-stealing scheduler against its fixed-chunk
-// ancestor on the fleet campaign's actual workload shape: shard costs
-// are wildly SKEWED (an attacked eRO device runs the per-period
-// modulation path, ~10x a healthy device) and heavy shards sit
-// CONTIGUOUSLY in shard-index order (the attack axis is innermost, so a
-// corner's devices are neighbours). Fixed chunking at auto_grain packs
-// several heavy shards into one chunk and the fleet waits on it;
-// grain-1 work stealing keeps every worker fed.
+// FLEETCAMPAIGN — the fleet campaign end to end on its actual workload
+// shape: shard costs are wildly SKEWED (an attacked eRO device runs the
+// per-period modulation path, ~10x a healthy device) and heavy shards
+// sit CONTIGUOUSLY in shard-index order (the attack axis is innermost,
+// so a corner's devices are neighbours). The pool claims one shard at a
+// time (grain 1), so a run of heavy shards spreads across the workers.
 //
 // Rows:
 //  * bm_fleet_campaign_serial — one-thread end-to-end campaign cost,
-//    the gated row (scheduler-independent);
-//  * bm_fleet_campaign_{ws,fixed}/W — end-to-end campaign at pool
-//    width W under each scheduler;
-//  * bm_skewed_shards_{ws,fixed}/W — the synthetic core of the story:
-//    identical skewed busy-work, auto_grain fixed chunks vs grain-1
-//    stealing. Read the ws speedup at the width matching the machine.
+//    the gated row;
+//  * bm_fleet_campaign_pool/W — the same campaign at pool width W.
 //
-// Thread-scaling rows are runtime-registered: on a single-CPU host the
-// W >= 2 rows measure oversubscription noise, not scaling, so they get
-// the ":informational" suffix bench_diff.py skips. The preamble
-// verifies that both schedulers produce byte-identical campaign
-// reports before any timing is trusted.
+// The pool-width row is runtime-registered: on a single-CPU host it
+// measures oversubscription noise, not scaling, so it gets the
+// ":informational" suffix bench_diff.py skips. The preamble verifies
+// that the campaign report is byte-identical at width 1 and at width W
+// before any timing is trusted.
 #include <benchmark/benchmark.h>
 
-#include <cstdint>
+#include <cstddef>
 #include <iostream>
 #include <string>
 #include <thread>
-#include <vector>
 
 #include "common/parallel.hpp"
 #include "model/fleet_campaign.hpp"
@@ -37,6 +30,8 @@ namespace {
 using namespace ptrng;
 using namespace ptrng::model;
 
+constexpr std::size_t kPoolWidth = 4;
+
 CampaignConfig bench_config() {
   CampaignConfig config;
   // First 4 grid cells: ero/180nm/tt/f0 under none/em_weak/em_strong/
@@ -44,106 +39,56 @@ CampaignConfig bench_config() {
   config.corners = 4;
   config.seeds = 4;
   config.bits_per_shard = 2000;
-  config.batch_size = 16;  // one batch: pure scheduler comparison
+  config.batch_size = 16;  // one batch: all shards in one fan-out
   return config;
 }
 
-bool verify_schedulers_agree() {
-  auto config = bench_config();
-  config.use_work_stealing = true;
-  const auto ws = run_campaign(config);
-  config.use_work_stealing = false;
-  const auto fixed = run_campaign(config);
-  return ws.json() == fixed.json();
+std::string report_at_width(std::size_t width) {
+  ThreadPool::global().resize(width);
+  const auto json = run_campaign(bench_config()).json();
+  ThreadPool::global().resize(0);
+  return json;
+}
+
+void bm_fleet_campaign_at(benchmark::State& state, std::size_t width) {
+  ThreadPool::global().resize(width);
+  const auto config = bench_config();
+  for (auto _ : state) {
+    auto report = run_campaign(config);
+    benchmark::DoNotOptimize(report.shards_folded);
+  }
+  ThreadPool::global().resize(0);
 }
 
 void bm_fleet_campaign_serial(benchmark::State& state) {
-  ThreadPool::global().resize(1);
-  auto config = bench_config();
-  for (auto _ : state) {
-    auto report = run_campaign(config);
-    benchmark::DoNotOptimize(report.shards_folded);
-  }
-  ThreadPool::global().resize(0);
+  bm_fleet_campaign_at(state, 1);
 }
 BENCHMARK(bm_fleet_campaign_serial)->Unit(benchmark::kMillisecond);
 
-void bm_fleet_campaign_sched(benchmark::State& state, bool ws) {
-  ThreadPool::global().resize(static_cast<std::size_t>(state.range(0)));
-  auto config = bench_config();
-  config.use_work_stealing = ws;
-  for (auto _ : state) {
-    auto report = run_campaign(config);
-    benchmark::DoNotOptimize(report.shards_folded);
-  }
-  ThreadPool::global().resize(0);
-}
-
-// Synthetic skewed shards: shard i costs ~10x when its corner is
-// "attacked" (3 of every 4 corners, contiguous — the campaign's cost
-// profile without the simulator's noise floor).
-double skewed_work(std::size_t shard) {
-  const std::size_t corner = shard / 4;   // 4 "seeds" per corner
-  const bool heavy = (corner % 4) != 0;   // 3 of 4 corners attacked
-  const std::size_t iters = heavy ? 60'000 : 6'000;
-  double acc = 1.0;
-  for (std::size_t k = 0; k < iters; ++k)
-    acc += 1.0 / static_cast<double>(2 * k + 1);
-  return acc;
-}
-
-constexpr std::size_t kSkewedShards = 512;
-
-void bm_skewed_shards(benchmark::State& state, bool ws) {
-  ThreadPool::global().resize(static_cast<std::size_t>(state.range(0)));
-  std::vector<double> out(kSkewedShards);
-  const auto body = [&](std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) out[i] = skewed_work(i);
-  };
-  for (auto _ : state) {
-    if (ws)
-      parallel_for_ws(0, kSkewedShards, 1, body);
-    else
-      parallel_for(0, kSkewedShards, 0, body);  // auto_grain chunks
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(kSkewedShards));
-  ThreadPool::global().resize(0);
-}
-
-void register_scaling(const char* base_name, bool single_cpu,
-                      void (*fn)(benchmark::State&, bool), bool ws) {
-  const std::string name =
-      single_cpu ? std::string(base_name) + ":informational" : base_name;
-  benchmark::RegisterBenchmark(name.c_str(), fn, ws)
-      ->Arg(2)->Arg(8)
-      ->Unit(benchmark::kMillisecond)
-      ->MeasureProcessCPUTime()
-      ->UseRealTime();
+void bm_fleet_campaign_pool(benchmark::State& state) {
+  bm_fleet_campaign_at(state, static_cast<std::size_t>(state.range(0)));
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::cout << "=== FLEETCAMPAIGN: work-stealing vs fixed-chunk on skewed "
-               "shards ===\n"
+  std::cout << "=== FLEETCAMPAIGN: skewed shards on the thread pool ===\n"
             << "hardware concurrency " << std::thread::hardware_concurrency()
             << "\n";
-  const bool agree = verify_schedulers_agree();
-  std::cout << "scheduler report identity (ws vs fixed-chunk): "
-            << (agree ? "OK" : "FAILED") << "\n\n";
+  const bool agree = report_at_width(1) == report_at_width(kPoolWidth);
+  std::cout << "report identity (width 1 vs " << kPoolWidth
+            << "): " << (agree ? "OK" : "FAILED") << "\n\n";
   if (!agree) return 1;  // fail bench-smoke, timings untrustworthy
   benchmark::Initialize(&argc, argv);
   const bool single_cpu = std::thread::hardware_concurrency() <= 1;
-  register_scaling("bm_fleet_campaign_ws", single_cpu,
-                   bm_fleet_campaign_sched, true);
-  register_scaling("bm_fleet_campaign_fixed", single_cpu,
-                   bm_fleet_campaign_sched, false);
-  register_scaling("bm_skewed_shards_ws", single_cpu, bm_skewed_shards,
-                   true);
-  register_scaling("bm_skewed_shards_fixed", single_cpu, bm_skewed_shards,
-                   false);
+  const std::string name = single_cpu
+                               ? "bm_fleet_campaign_pool:informational"
+                               : "bm_fleet_campaign_pool";
+  benchmark::RegisterBenchmark(name.c_str(), bm_fleet_campaign_pool)
+      ->Arg(static_cast<std::int64_t>(kPoolWidth))
+      ->Unit(benchmark::kMillisecond)
+      ->MeasureProcessCPUTime()
+      ->UseRealTime();
   benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

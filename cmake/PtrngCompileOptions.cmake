@@ -9,11 +9,10 @@ add_library(ptrng_compile_options INTERFACE)
 
 if(CMAKE_CXX_COMPILER_ID MATCHES "GNU|Clang")
   target_compile_options(ptrng_compile_options INTERFACE -Wall -Wextra)
-  # Deprecated-shim hygiene (PR 8): in-repo code must not call the PR-7
-  # shims (generate(), set_health_engine, gauss_method aliases) except
-  # through the explicit PTRNG_SUPPRESS_DEPRECATED_* back-compat tests,
-  # so the warning is an unconditional error even when PTRNG_WERROR is
-  # off — new callers cannot reintroduce the old API silently.
+  # Deprecation hygiene: an unconditional error even when PTRNG_WERROR
+  # is off, so anything marked [[deprecated]] in future can never gain
+  # an in-repo caller — a deprecated API only loses callers until it is
+  # deleted.
   target_compile_options(ptrng_compile_options INTERFACE
     -Werror=deprecated-declarations)
 elseif(MSVC)

@@ -1,7 +1,7 @@
 // Fleet-scale Monte Carlo corner campaign CLI (model/fleet_campaign.hpp):
 // expands the {generator x node x operating corner x flicker x attack}
-// grid, simulates `--seeds` devices per corner on the work-stealing
-// pool, and prints the per-corner verdict table. With `--checkpoint`
+// grid, simulates `--seeds` devices per corner on the thread pool,
+// and prints the per-corner verdict table. With `--checkpoint`
 // the campaign snapshots after every batch and `--resume` continues a
 // killed run — the final report is BYTE-IDENTICAL to an uninterrupted
 // run (the CI kill-and-resume smoke relies on exactly that).
@@ -17,20 +17,39 @@
 //   --resume          continue from --checkpoint if present
 //   --max-shards N    fold at most N shards, then checkpoint and exit 3
 //   --report-json F   write the versioned JSON report to F
-//   --fixed-chunk     use the fixed-chunk scheduler (scheduler A/B runs)
 //   --quiet           suppress the progress lines
+//
+// Numeric values are unsigned integers (decimal, 0x hex or 0 octal);
+// anything else — empty, signed, trailing characters, too large for the
+// field — is a usage error, like an unknown option: exit 2.
+#include <cerrno>
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <string>
 
 #include "model/fleet_campaign.hpp"
 
 namespace {
 
-std::uint64_t parse_u64(const char* s) {
-  return std::strtoull(s, nullptr, 0);
+// Reads all of `text` as an unsigned integer no larger than `max`, or
+// exits 2. strtoull alone would skip leading blanks, accept a sign
+// (wrapping "-1" to 2^64-1), stop silently at "7x", and read "x" as 0.
+std::uint64_t parse_u64(const char* flag, const char* text,
+                        std::uint64_t max =
+                            std::numeric_limits<std::uint64_t>::max()) {
+  if (*text >= '0' && *text <= '9') {
+    errno = 0;
+    char* end = nullptr;
+    const std::uint64_t v = std::strtoull(text, &end, 0);
+    if (errno == 0 && *end == '\0' && v <= max) return v;
+  }
+  std::cerr << flag << ": invalid value '" << text
+            << "' (expected an unsigned integer <= " << max << ")\n";
+  std::exit(2);
 }
 
 }  // namespace
@@ -44,42 +63,46 @@ int main(int argc, char** argv) {
   std::string report_json;
   bool quiet = false;
   for (int i = 1; i < argc; ++i) {
+    const char* flag = argv[i];
     const auto arg = [&](const char* name) {
-      return std::strcmp(argv[i], name) == 0;
+      return std::strcmp(flag, name) == 0;
     };
     const auto value = [&]() -> const char* {
       if (i + 1 >= argc) {
-        std::cerr << argv[i] << " needs a value\n";
+        std::cerr << flag << " needs a value\n";
         std::exit(2);
       }
       return argv[++i];
     };
+    const auto size_value = [&] {
+      return static_cast<std::size_t>(
+          parse_u64(flag, value(), std::numeric_limits<std::size_t>::max()));
+    };
     if (arg("--corners")) {
-      config.corners = static_cast<std::size_t>(parse_u64(value()));
+      config.corners = size_value();
     } else if (arg("--seeds")) {
-      config.seeds = static_cast<std::size_t>(parse_u64(value()));
+      config.seeds = size_value();
     } else if (arg("--bits")) {
-      config.bits_per_shard = static_cast<std::size_t>(parse_u64(value()));
+      config.bits_per_shard = size_value();
     } else if (arg("--seed")) {
-      config.seed = parse_u64(value());
+      config.seed = parse_u64(flag, value());
     } else if (arg("--divider")) {
-      config.divider = static_cast<std::uint32_t>(parse_u64(value()));
+      config.divider = static_cast<std::uint32_t>(parse_u64(
+          flag, value(), std::numeric_limits<std::uint32_t>::max()));
     } else if (arg("--batch")) {
-      config.batch_size = static_cast<std::size_t>(parse_u64(value()));
+      config.batch_size = size_value();
     } else if (arg("--checkpoint")) {
       config.checkpoint_path = value();
     } else if (arg("--resume")) {
       config.resume = true;
     } else if (arg("--max-shards")) {
-      config.max_shards = static_cast<std::size_t>(parse_u64(value()));
+      config.max_shards = size_value();
     } else if (arg("--report-json")) {
       report_json = value();
-    } else if (arg("--fixed-chunk")) {
-      config.use_work_stealing = false;
     } else if (arg("--quiet")) {
       quiet = true;
     } else {
-      std::cerr << "unknown option: " << argv[i] << "\n";
+      std::cerr << "unknown option: " << flag << "\n";
       return 2;
     }
   }

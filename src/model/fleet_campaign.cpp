@@ -408,21 +408,18 @@ CampaignReport run_campaign(const CampaignConfig& config) {
     const std::uint64_t base = state.folded;
     results.assign(static_cast<std::size_t>(n), ShardResult{});
     // One shard per task, grain 1: shard costs are wildly skewed
-    // (attacked eRO devices run the per-period modulation path), which
-    // is exactly what the work-stealing pool exists for. Results land
-    // in fixed slots, so the fold below never sees completion order.
-    const auto body = [&](std::size_t b, std::size_t e) {
-      for (std::size_t i = b; i < e; ++i) {
-        const std::uint64_t s = base + i;
-        results[i] = run_shard(grid[static_cast<std::size_t>(
-                                   s / config.seeds)],
-                               chunk_seed(config.seed, s), config);
-      }
-    };
-    if (config.use_work_stealing)
-      parallel_for_ws(0, static_cast<std::size_t>(n), 1, body);
-    else
-      parallel_for(0, static_cast<std::size_t>(n), 1, body);
+    // (attacked eRO devices run the per-period modulation path), so the
+    // pool claims shards one at a time. Results land in fixed slots, so
+    // the fold below never sees completion order.
+    parallel_for(0, static_cast<std::size_t>(n), 1,
+                 [&](std::size_t b, std::size_t e) {
+                   for (std::size_t i = b; i < e; ++i) {
+                     const std::uint64_t s = base + i;
+                     results[i] = run_shard(
+                         grid[static_cast<std::size_t>(s / config.seeds)],
+                         chunk_seed(config.seed, s), config);
+                   }
+                 });
     // Order-invariant fold: shard index order, independent of which
     // worker finished first — campaign state is a pure function of
     // (config, folded prefix), the checkpoint soundness invariant.

@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "common/contracts.hpp"
-#include "trng/continuous_health.hpp"
 
 namespace ptrng::trng {
 
@@ -110,22 +109,12 @@ Pipeline& Pipeline::set_monitor(ThermalNoiseMonitor* monitor) {
 Pipeline& Pipeline::attach_tap(TapStage& tap) {
   if (std::find(taps_.begin(), taps_.end(), &tap) == taps_.end())
     taps_.push_back(&tap);
-  if (auto* engine = dynamic_cast<HealthEngine*>(&tap)) health_ = engine;
   return *this;
 }
 
 Pipeline& Pipeline::detach_tap(TapStage& tap) {
   taps_.erase(std::remove(taps_.begin(), taps_.end(), &tap), taps_.end());
-  if (health_ == dynamic_cast<HealthEngine*>(&tap)) health_ = nullptr;
   return *this;
-}
-
-Pipeline& Pipeline::set_health_engine(HealthEngine* engine) {
-  if (engine == nullptr) {
-    if (health_ != nullptr) detach_tap(*health_);
-    return *this;
-  }
-  return attach_tap(*engine);
 }
 
 void Pipeline::pump() {

@@ -36,8 +36,6 @@
 
 namespace ptrng::trng {
 
-class HealthEngine;  // continuous_health.hpp
-
 /// Byte-packing convention of the byte-first surface: bit i of the
 /// stream lands in bit (7 - i%8) of byte i/8 — MSB-first, the hardware
 /// shift-register order. Pinned by test_bit_stream.cpp. Throws
@@ -85,13 +83,6 @@ class BitSource {
   /// Bulk BIT generation (allocating form of generate_into) — the raw
   /// domain for entropy estimators and transform equivalence checks.
   [[nodiscard]] std::vector<std::uint8_t> generate_bits(std::size_t n_bits);
-
-  /// Pre-PR-7 name of generate_bits, kept byte-identical.
-  [[deprecated("byte-first API: use generate_bytes/fill_bytes, or "
-               "generate_bits for raw-bit analysis")]] [[nodiscard]]
-  std::vector<std::uint8_t> generate(std::size_t n_bits) {
-    return generate_bits(n_bits);
-  }
 };
 
 /// A streaming, stateful re-expression of a post-processing block: each
@@ -275,17 +266,6 @@ class Pipeline final : public BitSource {
     return taps_.size();
   }
 
-  /// Pre-PR-7 spelling of attach_tap for the continuous-health engine
-  /// (HealthEngine is a TapStage). nullptr detaches the current engine.
-  /// Event sequences are identical to attach_tap(*engine).
-  [[deprecated("use attach_tap(engine) / detach_tap(engine)")]]
-  Pipeline& set_health_engine(HealthEngine* engine);
-
-  /// The most recently attached continuous-health engine, or nullptr.
-  [[nodiscard]] HealthEngine* health_engine() const noexcept {
-    return health_;
-  }
-
   std::uint8_t next_bit() override;
   void generate_into(std::span<std::uint8_t> out) override;
   void fill_bytes(std::span<std::byte> out) override;
@@ -312,7 +292,6 @@ class Pipeline final : public BitSource {
   std::vector<std::unique_ptr<BitTransform>> transforms_;
   ThermalNoiseMonitor* monitor_ = nullptr;
   std::vector<TapStage*> taps_;
-  HealthEngine* health_ = nullptr;  ///< accessor convenience only
 
   std::vector<std::uint8_t> raw_block_;
   std::vector<std::uint8_t> scratch_[2];

@@ -14,7 +14,6 @@
 #include "common/contracts.hpp"
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
-#include "noise/sampler_policy.hpp"
 #include "trng/bit_stream.hpp"
 #include "trng/ero_trng.hpp"
 #include "trng/multi_ring.hpp"
@@ -435,16 +434,6 @@ TEST(ByteApi, InterleavingBytesAndBitsContinuesOneStream) {
                       head_ref);
   EXPECT_EQ(head, head_ref);
   EXPECT_TRUE(std::equal(tail.begin(), tail.end(), all.begin() + 8 * 64));
-}
-
-TEST(ByteApi, DeprecatedGenerateShimIsByteIdentical) {
-  // The legacy generate() alias must stay bit-identical to generate_bits
-  // for its one-release deprecation window.
-  RngBitSource a(51), b(51);
-  PTRNG_SUPPRESS_DEPRECATED_BEGIN
-  const auto legacy = a.generate(12'345);
-  PTRNG_SUPPRESS_DEPRECATED_END
-  EXPECT_EQ(legacy, b.generate_bits(12'345));
 }
 
 }  // namespace

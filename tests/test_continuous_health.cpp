@@ -20,7 +20,6 @@
 #include "attacks/injection.hpp"
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
-#include "noise/sampler_policy.hpp"
 #include "stat_tolerance.hpp"
 #include "trng/bit_stream.hpp"
 #include "trng/continuous_health.hpp"
@@ -396,35 +395,6 @@ TEST(PipelineTaps, AttachIsIdempotentAndDetachStopsObservation) {
   EXPECT_EQ(pipe.tap_count(), 0u);
   pipe.generate_into(out);
   EXPECT_EQ(engine.bits_seen(), seen);  // no longer observing
-}
-
-TEST(PipelineTaps, DeprecatedSetHealthEngineIsAttachTap) {
-  // The legacy setter must behave exactly like attach_tap/detach_tap for
-  // its one-release deprecation window — same counters, same alarms.
-  RngBitSource src_a(0x7ab), src_b(0x7ab);
-  HealthEngine via_setter{ContinuousHealthConfig{}};
-  HealthEngine via_tap{ContinuousHealthConfig{}};
-
-  Pipeline legacy(src_a, 4096);
-  PTRNG_SUPPRESS_DEPRECATED_BEGIN
-  legacy.set_health_engine(&via_setter);
-  PTRNG_SUPPRESS_DEPRECATED_END
-  Pipeline modern(src_b, 4096);
-  modern.attach_tap(via_tap);
-
-  std::vector<std::uint8_t> a(30'000), b(30'000);
-  legacy.generate_into(a);
-  modern.generate_into(b);
-  EXPECT_EQ(a, b);
-  EXPECT_EQ(via_setter.bits_seen(), via_tap.bits_seen());
-  EXPECT_EQ(via_setter.alarms(), via_tap.alarms());
-  EXPECT_EQ(legacy.alarms(), modern.alarms());
-
-  // nullptr clears the attached engine, mirroring detach_tap.
-  PTRNG_SUPPRESS_DEPRECATED_BEGIN
-  legacy.set_health_engine(nullptr);
-  PTRNG_SUPPRESS_DEPRECATED_END
-  EXPECT_EQ(legacy.tap_count(), 0u);
 }
 
 TEST(PipelineTaps, RecorderCapStopsRecordingNotObservation) {
