@@ -77,13 +77,13 @@ std::vector<std::int64_t> DifferentialCounter::count_windows(
       }
       edges_.clear();
       edge_pos_ = 0;
-      // Far from the window end, jump osc1 in blocks (every skipped
-      // period is one counted edge); realize explicit edge times only
-      // near the boundary, where the exact time decides the count.
-      const double gap = window_end - osc1_.edge_time();
-      const auto skip =
-          static_cast<std::uint64_t>(std::max(0.0, 0.9 * gap / t_nom1));
-      if (skip >= 16) {
+      // Far from the window end, jump osc1 in one block (every skipped
+      // period is one counted edge; the skip rule keeps the jump short
+      // of the boundary); realize explicit edge times only near the
+      // boundary, where the exact time decides the count.
+      const std::uint64_t skip =
+          osc1_.safe_skip(window_end - osc1_.edge_time());
+      if (skip > 0) {
         osc1_.advance_periods(skip);
         q += static_cast<std::int64_t>(skip);
         continue;

@@ -214,7 +214,10 @@ std::vector<CornerSpec> expand_grid(const CampaignConfig& config) {
 
 std::string canonical_config(const CampaignConfig& config) {
   std::ostringstream os;
-  os << "fleet_campaign|v1"
+  // The version is the stream epoch: it moves whenever seeded generator
+  // streams change, so a checkpoint of older streams fails the digest
+  // check instead of resuming into a report that mixes two epochs.
+  os << "fleet_campaign|v2"
      << "|corners=" << config.corners << "|seeds=" << config.seeds
      << "|bits=" << config.bits_per_shard << "|seed=" << config.seed
      << "|ais31=" << (config.run_ais31 ? 1 : 0)

@@ -14,9 +14,23 @@ namespace {
 
 /// Two-sided PSD of a unit-variance AR(1) stage with pole rho at rate fs:
 /// the stationary process x_n = rho*x_{n-1} + sqrt(1-rho^2)*w_n.
+///
+/// The expanded denominator 1 - 2 rho cos(omega) + rho^2 cancels as rho
+/// and cos(omega) approach 1, and reaches exactly 0 once a stage corner
+/// sits ~1e-9 below fs (a gate-level bank at tens of GHz with a 100 Hz
+/// floor), which would make the calibration gain NaN. Below 2^-40,
+/// where the expanded form has lost all but ~3 digits, the factored
+/// form (1-rho)^2 + 4 rho sin^2(omega/2) takes over. Above it the
+/// expanded form stays, so well-conditioned banks (ring banks at the
+/// default floor ratio of 1e-7 or above, the pinned sampler KATs) keep
+/// their realized streams bit-for-bit.
 double stage_psd(double rho, double fs, double f) {
   const double omega = constants::two_pi * f / fs;
-  const double denom = 1.0 - 2.0 * rho * std::cos(omega) + rho * rho;
+  double denom = 1.0 - 2.0 * rho * std::cos(omega) + rho * rho;
+  if (denom < 0x1p-40) {
+    const double s = std::sin(0.5 * omega);
+    denom = (1.0 - rho) * (1.0 - rho) + 4.0 * rho * s * s;
+  }
   return (1.0 - rho * rho) / (fs * denom);
 }
 
@@ -356,6 +370,12 @@ double FilterBankFlicker::advance_sum(std::size_t k) {
     total += sum;
   }
   return total;
+}
+
+double FilterBankFlicker::stationary_sd() const {
+  double var = 0.0;
+  for (double s : sigma_) var += s * s;
+  return std::sqrt(var);
 }
 
 double FilterBankFlicker::analytic_psd(double f) const {

@@ -66,6 +66,11 @@ class FilterBankFlicker final : public NoiseSource {
   /// with next()/fill() on the same generator.
   [[nodiscard]] double advance_sum(std::size_t k);
 
+  /// Stationary standard deviation of one output sample: the square
+  /// root of the summed per-stage variances (the stages are
+  /// independent). Bounds the spread of a k-sample sum by k times this.
+  [[nodiscard]] double stationary_sd() const;
+
   /// Exact two-sided PSD of this generator (sum of discrete Lorentzians) at
   /// frequency f — what Welch estimates should converge to.
   [[nodiscard]] double analytic_psd(double f) const;

@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "common/contracts.hpp"
+#include "oscillator/edge_walk.hpp"
 
 namespace ptrng::oscillator {
 
@@ -15,19 +16,23 @@ GateChainOscillator::GateChainOscillator(const GateChainConfig& config)
   PTRNG_EXPECTS(config.sigma_stage >= 0.0);
   PTRNG_EXPECTS(config.flicker_amplitude >= 0.0);
 
-  f0_ = 1.0 / (2.0 * static_cast<double>(config.n_stages) *
-               config.stage_delay);
+  const double transitions = 2.0 * static_cast<double>(config.n_stages);
+  t_nom_ = transitions * config.stage_delay;
+  f0_ = 1.0 / t_nom_;
+  sigma_th_ = std::sqrt(transitions) * config.sigma_stage;
 
   if (config.flicker_amplitude > 0.0) {
-    // Stage transitions occur at rate 2*N*f0 = 1/stage_delay.
+    // Stage transitions occur at rate 2*N*f0 = 1/stage_delay. The N
+    // stage processes are independent with one spectrum, so their sum
+    // over the j-th traversal of every stage is one bank with N times
+    // the amplitude (same poles, N times each stage variance).
     const double fs = 1.0 / config.stage_delay;
-    stage_flicker_.reserve(config.n_stages);
-    for (std::size_t k = 0; k < config.n_stages; ++k) {
-      stage_flicker_.emplace_back(noise::flicker_band_config(
-          config.flicker_amplitude, fs, config.flicker_floor_hz,
-          config.seed + 0x1111ULL * (k + 1), 3,
-          config.sampler));
-    }
+    flicker_.emplace(noise::flicker_band_config(
+        static_cast<double>(config.n_stages) * config.flicker_amplitude, fs,
+        config.flicker_floor_hz, config.seed + 0x1111ULL, 3,
+        config.sampler));
+    // Two traversals per period; bounded by perfect correlation.
+    sigma_fl_ = 2.0 * flicker_->stationary_sd();
   }
 }
 
@@ -36,64 +41,36 @@ PeriodSample GateChainOscillator::next_period() {
   const std::size_t transitions = 2 * config_.n_stages;
   double total = 0.0;
   double thermal = 0.0;
-  double flicker = 0.0;
   for (std::size_t t = 0; t < transitions; ++t) {
     const double th = config_.sigma_stage * gauss_();
-    double fl = 0.0;
-    if (!stage_flicker_.empty())
-      fl = stage_flicker_[t % config_.n_stages].next();
     thermal += th;
-    flicker += fl;
-    total += config_.stage_delay + th + fl;
+    total += config_.stage_delay + th;
   }
-  s.period = total;
+  // Each stage is traversed twice per period: two samples of the
+  // summed stage flicker.
+  const double flicker = flicker_ ? flicker_->next() + flicker_->next() : 0.0;
+  s.period = total + flicker;
   s.thermal = thermal;
   s.flicker = flicker;
+  edge_time_.add(s.period);
   return s;
 }
 
-void GateChainOscillator::next_periods(std::span<PeriodSample> out) {
-  const std::size_t n_stages = config_.n_stages;
-  const std::size_t transitions = 2 * n_stages;
-  const bool has_flicker = !stage_flicker_.empty();
-  constexpr std::size_t kBlockPeriods = 1024;  // bounds the staging scratch
+void GateChainOscillator::advance_periods(std::uint64_t k) {
+  if (k == 0) return;
+  const double kd = static_cast<double>(k);
+  double elapsed = kd * t_nom_ + sigma_th_ * std::sqrt(kd) * gauss_();
+  if (flicker_) elapsed += flicker_->advance_sum(2 * k);
+  edge_time_.add(elapsed);
+}
 
-  for (std::size_t done = 0; done < out.size(); done += kBlockPeriods) {
-    const std::size_t n = std::min(kBlockPeriods, out.size() - done);
+std::uint64_t GateChainOscillator::safe_skip(double gap) const {
+  return safe_skip_periods(gap, t_nom_, sigma_th_, sigma_fl_);
+}
 
-    // Stage all noise draws for the block up front: thermal from the
-    // shared stream in transition order, flicker as one fill() block per
-    // stage (stage s is traversed twice per period, so its bank yields
-    // 2*n samples in the same within-stage order as stepping).
-    scratch_.resize(n * transitions + (has_flicker ? n * transitions : 0));
-    double* const thermal = scratch_.data();
-    double* const flicker = scratch_.data() + n * transitions;
-    for (std::size_t j = 0; j < n * transitions; ++j)
-      thermal[j] = config_.sigma_stage * gauss_();
-    for (std::size_t s = 0; has_flicker && s < n_stages; ++s)
-      stage_flicker_[s].fill({flicker + s * 2 * n, 2 * n});
-
-    // Assemble each period with the exact accumulation order of
-    // next_period(), so the batch is bit-identical to stepping.
-    for (std::size_t i = 0; i < n; ++i) {
-      double total = 0.0;
-      double th_sum = 0.0;
-      double fl_sum = 0.0;
-      for (std::size_t t = 0; t < transitions; ++t) {
-        const double th = thermal[i * transitions + t];
-        const double fl =
-            has_flicker
-                ? flicker[(t % n_stages) * 2 * n + 2 * i + (t >= n_stages)]
-                : 0.0;
-        th_sum += th;
-        fl_sum += fl;
-        total += config_.stage_delay + th + fl;
-      }
-      out[done + i].period = total;
-      out[done + i].thermal = th_sum;
-      out[done + i].flicker = fl_sum;
-    }
-  }
+EdgeBracket GateChainOscillator::advance_to_block(double t_target,
+                                                  EdgeBracket bracket) {
+  return walk_to(*this, t_target, bracket);
 }
 
 double GateChainOscillator::period_thermal_variance() const {

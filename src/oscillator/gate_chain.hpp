@@ -8,8 +8,7 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
-#include <vector>
+#include <optional>
 
 #include "common/rng.hpp"
 #include "noise/filter_bank.hpp"
@@ -27,7 +26,7 @@ struct GateChainConfig {
   double flicker_amplitude = 0.0;
   double flicker_floor_hz = 100.0;
   std::uint64_t seed = 0x9a7ec4a1ULL;
-  /// Sampler policy for the shared thermal stream and every stage's
+  /// Sampler policy for the shared thermal stream and the summed stage
   /// flicker bank (docs/ARCHITECTURE.md §5 "Sampler policy").
   noise::SamplerPolicy sampler{};
 };
@@ -41,12 +40,25 @@ class GateChainOscillator {
   /// Next full period: sum of 2*n_stages noisy stage delays.
   PeriodSample next_period();
 
-  /// Batched fast path: fills `out` with the next out.size() periods,
-  /// bit-identical to repeated next_period() calls. Thermal draws come
-  /// from the shared stream in transition order; each stage's flicker
-  /// samples (two per period — the rising and falling traversal) come
-  /// from that stage's own bank in one FilterBankFlicker::fill block.
-  void next_periods(std::span<PeriodSample> out);
+  /// Exact block advance of k periods: the thermal sum is one
+  /// N(0, 2N*k*sigma_stage^2) draw and the flicker sum is the summed
+  /// stage bank's advance_sum(2k) (each stage is traversed twice per
+  /// period). Statistically indistinguishable from k next_period()
+  /// calls for every observable that depends only on the end edge time.
+  void advance_periods(std::uint64_t k);
+
+  /// Absolute time of the most recently produced rising edge [s],
+  /// accumulated with compensated summation.
+  [[nodiscard]] double edge_time() const noexcept { return edge_time_.value(); }
+
+  /// Periods that can be skipped towards an instant `gap` seconds past
+  /// the last edge without passing it (edge_walk.hpp safe_skip_periods).
+  [[nodiscard]] std::uint64_t safe_skip(double gap) const;
+
+  /// Brings the edge bracket over `t_target` with the same walk as
+  /// RingOscillator::advance_to_block (edge_walk.hpp walk_to).
+  [[nodiscard]] EdgeBracket advance_to_block(double t_target,
+                                             EdgeBracket bracket);
 
   /// Nominal frequency 1/(2*N*t_stage).
   [[nodiscard]] double f0() const noexcept { return f0_; }
@@ -66,10 +78,12 @@ class GateChainOscillator {
   GateChainConfig config_;
   double f0_;
   GaussianSampler gauss_;
-  /// One flicker process per stage (stage delays are physically driven by
-  /// distinct devices).
-  std::vector<noise::FilterBankFlicker> stage_flicker_;
-  std::vector<double> scratch_;  ///< next_periods block staging
+  /// Summed flicker of all stages (absent if flicker_amplitude == 0).
+  std::optional<noise::FilterBankFlicker> flicker_;
+  double t_nom_;           ///< nominal period 2N * stage_delay [s]
+  double sigma_th_;        ///< per-period thermal sd sqrt(2N) * sigma_stage
+  double sigma_fl_ = 0.0;  ///< per-period flicker sd bound
+  KahanSum edge_time_;
 };
 
 }  // namespace ptrng::oscillator

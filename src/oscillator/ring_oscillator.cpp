@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "common/contracts.hpp"
+#include "oscillator/edge_walk.hpp"
 
 namespace ptrng::oscillator {
 
@@ -29,6 +30,7 @@ RingOscillator::RingOscillator(const RingOscillatorConfig& config)
         config.f0, config.f0 * config.flicker_floor_ratio,
         config.seed ^ 0xf11c4e5eedULL, config.flicker_stages_per_decade,
         config.sampler));
+    sigma_fl_ = flicker_->stationary_sd();
   }
 }
 
@@ -142,22 +144,14 @@ void RingOscillator::advance_periods(std::uint64_t k) {
   cycles_ += k;
 }
 
+std::uint64_t RingOscillator::safe_skip(double gap) const {
+  return safe_skip_periods(modulation_ ? 0.9 * gap : gap, t_nom_, sigma_th_,
+                           sigma_fl_);
+}
+
 EdgeBracket RingOscillator::advance_to_block(double t_target,
                                              EdgeBracket bracket) {
-  for (;;) {
-    const double gap = t_target - bracket.next;
-    const auto skip =
-        static_cast<std::uint64_t>(std::max(0.0, 0.9 * gap / t_nom_));
-    if (skip < 16) break;
-    advance_periods(skip);
-    bracket.next = edge_time();
-  }
-  while (bracket.next <= t_target) {
-    bracket.prev = bracket.next;
-    next_period();
-    bracket.next = edge_time();
-  }
-  return bracket;
+  return walk_to(*this, t_target, bracket);
 }
 
 void RingOscillator::set_modulation(std::function<double(double)> modulation) {

@@ -115,14 +115,20 @@ class RingOscillator {
   /// Accumulated with compensated summation.
   [[nodiscard]] double edge_time() const noexcept { return edge_time_.value(); }
 
+  /// Periods that can be skipped towards an instant `gap` seconds past
+  /// the last edge without passing it (edge_walk.hpp safe_skip_periods,
+  /// with this oscillator's thermal sigma and flicker stationary sd). A
+  /// modulated oscillator first keeps 10% of the gap back for the
+  /// modulation's period change, so its walk converges in a few
+  /// shrinking jumps instead of one.
+  [[nodiscard]] std::uint64_t safe_skip(double gap) const;
+
   /// Bulk-edge API for batched sampling: advances this oscillator until
   /// its edge bracket contains `t_target` and returns that bracket.
   /// `bracket` is the caller's current bracket (bracket.next must be the
-  /// most recent realized edge, i.e. edge_time()). Far from the target it
-  /// jumps in O(1) blocks via advance_periods sized to 90% of the nominal
-  /// gap — the 10% margin dwarfs the jitter spread by orders of
-  /// magnitude, so overshoot has negligible probability — and the final
-  /// approach steps period by period to realize the bracketing edges.
+  /// most recent realized edge, i.e. edge_time()). One exact block
+  /// advance of safe_skip periods, then period steps over the last 1-3
+  /// periods to realize the bracketing edges (edge_walk.hpp walk_to).
   /// Already-bracketed targets (t_target < bracket.next) return the input
   /// unchanged, so per-bit resampling costs nothing extra.
   [[nodiscard]] EdgeBracket advance_to_block(double t_target,
@@ -149,6 +155,7 @@ class RingOscillator {
   RingOscillatorConfig config_;
   double t_nom_;
   double sigma_th_;
+  double sigma_fl_ = 0.0;  ///< flicker stationary sd per period
   GaussianSampler gauss_;
   std::optional<noise::FilterBankFlicker> flicker_;  ///< absent if b_fl == 0
   std::function<double(double)> modulation_;

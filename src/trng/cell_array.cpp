@@ -12,35 +12,17 @@
 
 namespace ptrng::trng {
 
-namespace {
-/// Periods realized per buffered block; bounds the per-cell staging
-/// memory while keeping GateChainOscillator::next_periods batched.
-constexpr std::size_t kPeriodBlock = 256;
-}  // namespace
-
 CellArrayTrng::Cell::Cell(const oscillator::GateChainConfig& cfg,
                           std::size_t sync_stages)
     : osc(cfg), latch(sync_stages, 0) {
-  buffer.resize(kPeriodBlock);
-  buf_pos = buffer.size();  // force a fill on the first period
-  period = next_period();
-}
-
-double CellArrayTrng::Cell::next_period() {
-  if (buf_pos == buffer.size()) {
-    osc.next_periods(buffer);
-    buf_pos = 0;
-  }
-  return buffer[buf_pos++].period;
+  // Prime the first edge bracket: the first period starts at t = 0.
+  osc.next_period();
+  bracket.next = osc.edge_time();
 }
 
 std::uint8_t CellArrayTrng::Cell::sample(double t, double duty) {
-  while (t_edge + period <= t) {
-    t_edge += period;
-    period = next_period();
-  }
-  const double frac = (t - t_edge) / period;
-  const std::uint8_t raw = frac < duty ? 1 : 0;
+  bracket = osc.advance_to_block(t, bracket);
+  const std::uint8_t raw = bracket.fractional_phase(t) < duty ? 1 : 0;
   if (latch.empty()) return raw;
   const std::uint8_t out = latch[latch_pos];
   latch[latch_pos] = raw;

@@ -102,4 +102,18 @@ inline double binary_entropy_tol(std::size_t n, double p, double z = 5.0) {
   return z * slope * std::sqrt(p * (1.0 - p) / static_cast<double>(n));
 }
 
+/// Critical value of the two-sample Kolmogorov-Smirnov statistic D for
+/// samples of n1 and n2 independent draws, at the false-alarm rate of a
+/// two-sided z-sigma normal test: the asymptotic tail
+/// P(D > x * sqrt((n1+n2)/(n1*n2))) ~ 2 exp(-2 x^2) set equal to
+/// erfc(z/sqrt(2)).
+inline double ks_two_sample_tol(std::size_t n1, std::size_t n2,
+                                double z = 5.0) {
+  const double alpha = std::erfc(z / std::numbers::sqrt2);
+  const double x = std::sqrt(-0.5 * std::log(0.5 * alpha));
+  const double a = static_cast<double>(n1);
+  const double b = static_cast<double>(n2);
+  return x * std::sqrt((a + b) / (a * b));
+}
+
 }  // namespace ptrng::testing

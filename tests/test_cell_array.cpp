@@ -290,6 +290,21 @@ TEST(CellArray, TechnologyFactoryProducesPlausibleConfig) {
   EXPECT_LT(ones, bits.size());
 }
 
+TEST(CellArray, TechnologyFlickerCellsProduceBothSymbols) {
+  // Flicker-enabled technology cells run gate-level flicker banks
+  // (stage rate ~1e11 Hz, 100 Hz floor) where the AR(1) PSD denominator
+  // cancels; a NaN calibration makes every period NaN and every raw
+  // bit 0.
+  for (const auto& node : transistor::technology_nodes()) {
+    CellArrayTrng gen(cell_array_from_technology(node, 3, 5, 1.0, true));
+    const auto bits = gen.generate_bits(256);
+    std::size_t ones = 0;
+    for (auto b : bits) ones += b;
+    EXPECT_GT(ones, 0u) << node.name;
+    EXPECT_LT(ones, bits.size()) << node.name;
+  }
+}
+
 TEST(CellArray, TechnologyFactoryFlickerToggle) {
   const auto& node = transistor::technology_nodes().front();
   const auto thermal = cell_array_from_technology(node, 3, 5, 1.0, false);

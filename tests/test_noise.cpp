@@ -16,6 +16,7 @@
 #include "noise/white.hpp"
 #include "stats/descriptive.hpp"
 #include "stats/psd.hpp"
+#include "stat_tolerance.hpp"
 
 namespace {
 
@@ -65,6 +66,47 @@ TEST(FilterBankFlicker, AnalyticPsdTracksTarget) {
     const double t = src.target_psd(f);
     EXPECT_NEAR(a / t, 1.0, 0.15) << "f = " << f;
   }
+}
+
+TEST(FilterBankFlicker, GateLevelBandCalibratesFinite) {
+  // A gate-level bank: stage-transition rate ~280 GHz with a 100 Hz
+  // floor, ~9.4 decades. The lowest stage poles sit ~2e-9 below 1,
+  // where the expanded AR(1) PSD denominator cancels to 0; the gain
+  // must still calibrate finite and track amplitude/f in band.
+  FilterBankFlicker::Config cfg;
+  cfg.amplitude = 3e-36;
+  cfg.fs = 1.0 / 3.5657e-12;
+  cfg.f_min = 100.0;
+  cfg.f_max = cfg.fs / 4.0;
+  FilterBankFlicker src(cfg);
+  EXPECT_TRUE(std::isfinite(src.stationary_sd()));
+  EXPECT_GT(src.stationary_sd(), 0.0);
+  for (double f : {1e3, 1e5, 1e7, 1e9}) {
+    EXPECT_NEAR(src.analytic_psd(f) / src.target_psd(f), 1.0, 0.15)
+        << "f = " << f;
+  }
+  for (int i = 0; i < 1000; ++i) ASSERT_TRUE(std::isfinite(src.next()));
+}
+
+TEST(FilterBankFlicker, StationarySdMatchesFirstSampleSpread) {
+  // Every stage starts in its stationary law, so the first sample of
+  // many independently seeded banks has variance stationary_sd()^2.
+  FilterBankFlicker::Config cfg;
+  cfg.amplitude = 1e-2;
+  cfg.fs = 1.0;
+  cfg.f_min = 1e-4;
+  cfg.f_max = 0.25;
+  const std::size_t banks = 4000;
+  stats::RunningStats first;
+  double sd = 0.0;
+  for (std::size_t i = 0; i < banks; ++i) {
+    cfg.seed = 0x5d00 + i;
+    FilterBankFlicker src(cfg);
+    sd = src.stationary_sd();
+    first.add(src.next());
+  }
+  EXPECT_NEAR(first.variance() / (sd * sd), 1.0,
+              ptrng::testing::variance_ratio_tol(banks));
 }
 
 TEST(FilterBankFlicker, MeasuredPsdMatchesAnalytic) {

@@ -228,33 +228,6 @@ TEST(OscillatorPair, RelativeJitterIdenticalForAnyThreadCount) {
   }
 }
 
-TEST(GateChain, NextPeriodsMatchesSteppingExactly) {
-  // Flicker-enabled chain: per-stage banks are consumed two samples per
-  // period; the batched assembly replicates next_period()'s accumulation
-  // order, so every field is bit-identical. 2600 periods also crosses
-  // the internal 1024-period staging block twice.
-  GateChainConfig cfg;
-  cfg.n_stages = 5;
-  cfg.stage_delay = 100e-12;
-  cfg.sigma_stage = 1e-12;
-  cfg.flicker_amplitude = 1e-26;
-  cfg.flicker_floor_hz = 1e4;
-  cfg.seed = 0x0524;
-  GateChainOscillator stepped(cfg), batched(cfg);
-
-  std::vector<PeriodSample> expected(2600);
-  for (auto& s : expected) s = stepped.next_period();
-  std::vector<PeriodSample> got(expected.size());
-  batched.next_periods(std::span<PeriodSample>(got).subspan(0, 700));
-  got[700] = batched.next_period();
-  batched.next_periods(std::span<PeriodSample>(got).subspan(701));
-  for (std::size_t i = 0; i < got.size(); ++i) {
-    ASSERT_EQ(got[i].period, expected[i].period) << "period " << i;
-    ASSERT_EQ(got[i].thermal, expected[i].thermal) << "period " << i;
-    ASSERT_EQ(got[i].flicker, expected[i].flicker) << "period " << i;
-  }
-}
-
 TEST(GateChain, FrequencyFromStageDelay) {
   GateChainConfig cfg;
   cfg.n_stages = 5;
