@@ -1,15 +1,15 @@
-// GEN — ablation of the 1/f generator families the simulator could be
-// built on: octave filter bank (production), Kasdin-Walter fractional
-// integrator (reference), Voss-McCartney (legacy), RTN superposition
-// (physical). Reports in-band PSD slope accuracy, amplitude error against
-// the target A/f, the induced sigma^2_N shape, and throughput.
+// GEN — the 1/f engine against its oracle: octave filter bank (the
+// simulator's flicker engine) vs the Kasdin-Walter fractional integrator
+// (the exact 1/f^alpha reference). Reports in-band PSD slope accuracy,
+// amplitude error against the target A/f, the induced sigma^2_N shape,
+// and throughput.
 #include <benchmark/benchmark.h>
 
-#include <cmath>
 #include <cstdint>
 #include <iostream>
 #include <memory>
 #include <span>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -19,8 +19,6 @@
 #include "measurement/sigma_n_estimator.hpp"
 #include "noise/filter_bank.hpp"
 #include "noise/kasdin.hpp"
-#include "noise/rtn.hpp"
-#include "noise/voss.hpp"
 #include "stats/psd.hpp"
 
 namespace {
@@ -40,36 +38,22 @@ std::unique_ptr<NoiseSource> make_generator(const std::string& name,
     cfg.seed = seed;
     return std::make_unique<FilterBankFlicker>(cfg);
   }
-  if (name == "kasdin") {
-    KasdinFlicker::Config cfg;
-    cfg.alpha = 1.0;
-    cfg.sigma_w = KasdinFlicker::sigma_w_for_amplitude(amplitude);
-    cfg.fs = 1.0;
-    cfg.seed = seed;
-    return std::make_unique<KasdinFlicker>(cfg);
-  }
-  if (name == "voss") {
-    return std::make_unique<VossMcCartney>(18, 1.0, seed);
-  }
-  RtnSuperposition::Config cfg;
-  cfg.traps = 36;
-  cfg.lambda_min = 3e-5;
-  cfg.lambda_max = 0.8;
-  cfg.amplitude = std::sqrt(amplitude);  // per-trap scale heuristic
+  KasdinFlicker::Config cfg;
+  cfg.alpha = 1.0;
+  cfg.sigma_w = KasdinFlicker::sigma_w_for_amplitude(amplitude);
   cfg.fs = 1.0;
   cfg.seed = seed;
-  return std::make_unique<RtnSuperposition>(cfg);
+  return std::make_unique<KasdinFlicker>(cfg);
 }
 
 void print_ablation() {
-  std::cout << "=== GEN: 1/f generator family ablation ===\n"
+  std::cout << "=== GEN: 1/f engine vs Kasdin oracle ===\n"
             << "target two-sided PSD: 1e-3 / f over ~[1e-4, 0.25] (fs=1)\n\n";
   const double amplitude = 1e-3;
 
   TableWriter table({"generator", "slope [-1]", "PSD err @1e-3 [x]",
                      "s2N(4096)/s2N(64)/64 [N^1 ->1, N^2 ->64]"});
-  for (const std::string name :
-       {"filter_bank", "kasdin", "voss", "rtn_sum"}) {
+  for (const std::string name : {"filter_bank", "kasdin"}) {
     auto gen = make_generator(name, amplitude, 0x9e4 + name.size());
     std::vector<double> x(1 << 19);
     gen->fill(x);
@@ -91,10 +75,8 @@ void print_ablation() {
   }
   table.print(std::cout);
   std::cout << "\nreading: filter_bank and kasdin hit slope -1 and the "
-               "target amplitude (calibrated);\nvoss approximates the "
-               "slope without amplitude control; rtn_sum is 1/f only "
-               "inside its\ntrap band. All show the N^2-type sigma^2_N "
-               "growth that breaks Eq. 6.\n\n";
+               "target amplitude (calibrated);\nboth show the N^2-type "
+               "sigma^2_N growth that breaks Eq. 6.\n\n";
 }
 
 // Bit-identity preamble à la bench_multi_ring: the batched fill() must
@@ -202,18 +184,6 @@ void bm_kasdin(benchmark::State& state) {
   for (auto _ : state) benchmark::DoNotOptimize(gen->next());
 }
 BENCHMARK(bm_kasdin);
-
-void bm_voss(benchmark::State& state) {
-  auto gen = make_generator("voss", 1e-3, 3);
-  for (auto _ : state) benchmark::DoNotOptimize(gen->next());
-}
-BENCHMARK(bm_voss);
-
-void bm_rtn_sum(benchmark::State& state) {
-  auto gen = make_generator("rtn_sum", 1e-3, 4);
-  for (auto _ : state) benchmark::DoNotOptimize(gen->next());
-}
-BENCHMARK(bm_rtn_sum);
 
 }  // namespace
 

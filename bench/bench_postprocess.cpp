@@ -1,6 +1,6 @@
-// POSTPROC — throughput of the algebraic post-processing stages, both
-// through the legacy batch free functions and through the streaming
-// BitTransform path feeding block-sized pushes (the Pipeline hot loop).
+// POSTPROC — throughput of the algebraic post-processing stages: one
+// push of the whole stream through a fresh BitTransform, and block-sized
+// pushes with carry state (the Pipeline hot loop).
 // Items processed = RAW input bits, so rows are comparable across
 // factors and correctors. Closes the ROADMAP postprocess bench gap.
 #include <benchmark/benchmark.h>
@@ -35,7 +35,11 @@ void bm_xor_decimate(benchmark::State& state) {
   const auto& bits = raw_bits();
   const auto factor = static_cast<std::size_t>(state.range(0));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(xor_decimate(bits, factor));
+    XorDecimateTransform t(factor);
+    std::vector<std::uint8_t> out;
+    out.reserve(bits.size() / factor);
+    t.push(bits, out);
+    benchmark::DoNotOptimize(out.data());
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(bits.size()));
@@ -46,7 +50,11 @@ BENCHMARK(bm_xor_decimate)->Arg(2)->Arg(4)->Arg(8)
 void bm_von_neumann(benchmark::State& state) {
   const auto& bits = raw_bits();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(von_neumann(bits));
+    VonNeumannTransform t;
+    std::vector<std::uint8_t> out;
+    out.reserve(bits.size() / 4);
+    t.push(bits, out);
+    benchmark::DoNotOptimize(out.data());
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(bits.size()));

@@ -7,11 +7,9 @@
 //
 //  * SplitMix64   — seed expansion (Steele, Lea, Flood 2014)
 //  * Xoshiro256pp — main uniform generator (Blackman & Vigna 2019)
-//  * GaussianSampler — normal sampler on top of Xoshiro256pp, with a
-//    method policy: the 256-layer ziggurat (common/ziggurat.hpp, the
-//    default engine) or the Marsaglia polar method (the pre-PR-5 engine,
-//    kept selectable so the old realized streams stay reproducible —
-//    see docs/ARCHITECTURE.md §5 "Sampler policy")
+//  * GaussianSampler — normal sampler on top of Xoshiro256pp: the
+//    256-layer ziggurat (common/ziggurat.hpp), the library's one Gaussian
+//    engine (docs/ARCHITECTURE.md §5 "Gaussian engine")
 #pragma once
 
 #include <array>
@@ -71,13 +69,6 @@ class Xoshiro256pp {
     return lo + (hi - lo) * uniform();
   }
 
-  /// Uniform integer in [0, bound) without modulo bias (Lemire's method).
-  std::uint64_t uniform_below(std::uint64_t bound) noexcept;
-
-  /// Jump function: advances the state by 2^128 steps, giving independent
-  /// parallel subsequences.
-  void jump() noexcept;
-
   /// Raw 256-bit state, for lane-parallel (struct-of-arrays) stepping in
   /// the SIMD kernels and for state spill/reload around their scalar
   /// slow paths. A state restored via set_state continues the exact
@@ -94,34 +85,20 @@ class Xoshiro256pp {
   std::array<std::uint64_t, 4> state_{};
 };
 
-/// Standard-normal sampler (mean 0, variance 1) with a selectable
-/// engine. Method::Ziggurat (default) is the 256-layer table-driven
-/// sampler; Method::Polar is the Marsaglia polar method (caching the
-/// second variate of each pair) that every stream used before PR 5.
-/// The two methods realize different streams from the same seed; code
-/// that pins seeded expectations must say which method it pinned.
+/// Standard-normal sampler (mean 0, variance 1): the 256-layer
+/// ziggurat (common/ziggurat.hpp) over one Xoshiro256pp stream. It keeps
+/// no cross-draw state, so the stream is a pure function of the seed.
 class GaussianSampler {
  public:
-  enum class Method : std::uint8_t {
-    Ziggurat,  ///< 256-layer ziggurat (common/ziggurat.hpp) — default
-    Polar,     ///< Marsaglia polar — the pre-PR-5 streams, bit-for-bit
-  };
-
-  explicit GaussianSampler(std::uint64_t seed = 0x5eedcafef00dULL,
-                           Method method = Method::Ziggurat) noexcept
-      : rng_(seed), method_(method) {}
-  explicit GaussianSampler(Xoshiro256pp rng,
-                           Method method = Method::Ziggurat) noexcept
-      : rng_(rng), method_(method) {}
+  explicit GaussianSampler(std::uint64_t seed = 0x5eedcafef00dULL) noexcept
+      : rng_(seed) {}
+  explicit GaussianSampler(Xoshiro256pp rng) noexcept : rng_(rng) {}
 
   /// One N(0,1) sample.
   double operator()() noexcept;
 
   /// Batched draws, bit-identical to out.size() operator()() calls on
-  /// the same stream: the ziggurat inlines its scalar path across the
-  /// block; polar emits pairs straight into the buffer (rejection loop
-  /// and log/sqrt pipeline across the block instead of paying a call
-  /// per variate).
+  /// the same stream (the scalar path inlined across the block).
   void fill(std::span<double> out) noexcept;
 
   /// Multi-stream batched draws for the SIMD lane kernels: four
@@ -130,10 +107,8 @@ class GaussianSampler {
   /// multiple of 4). Each lane's subsequence is bit-identical to the
   /// same number of operator()() calls on that sampler alone — lanes
   /// own independent streams, so batching across them never reorders
-  /// any single stream. All four lanes must share one Method; the
-  /// ziggurat rides the vectorized common/simd kernel when
-  /// simd::active(), Polar always takes the scalar path (its rejection
-  /// loop has data-dependent stream consumption per lane).
+  /// any single stream. Rides the vectorized common/simd kernel when
+  /// simd::active().
   static void fill_lanes(const std::array<GaussianSampler*, 4>& lanes,
                          std::span<double> out) noexcept;
 
@@ -142,20 +117,8 @@ class GaussianSampler {
     return mean + stddev * (*this)();
   }
 
-  /// Access to the underlying uniform generator (e.g. for mixing streams).
-  Xoshiro256pp& uniform_rng() noexcept { return rng_; }
-
-  /// The engine this sampler draws with.
-  [[nodiscard]] Method method() const noexcept { return method_; }
-
  private:
-  double polar_next() noexcept;
-  void polar_fill(std::span<double> out) noexcept;
-
   Xoshiro256pp rng_;
-  double cached_ = 0.0;
-  bool has_cached_ = false;
-  Method method_;
 };
 
 }  // namespace ptrng

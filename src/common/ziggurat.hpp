@@ -1,11 +1,11 @@
 // 256-layer Marsaglia–Tsang ziggurat sampler for the standard normal.
 //
-// The table-driven rejection scheme replaces the Marsaglia polar loop's
-// per-draw log/sqrt with one 64-bit draw, one table lookup, and one
-// multiply on ~98.5% of draws: the low 8 bits pick a layer, bit 8 the
-// sign, and the top 52 bits the magnitude. The remaining draws split
-// between the wedge test (one exp) and the exact Marsaglia tail beyond
-// r = 3.6541...; the realized distribution is exact, not approximate.
+// The table-driven rejection scheme needs one 64-bit draw, one table
+// lookup, and one multiply on ~98.5% of draws (no per-draw log/sqrt):
+// the low 8 bits pick a layer, bit 8 the sign, and the top 52 bits the
+// magnitude. The remaining draws split between the wedge test (one exp)
+// and the exact Marsaglia tail beyond r = 3.6541...; the realized
+// distribution is exact, not approximate.
 //
 // The layer tables (per-layer integer accept bounds, width scales, and
 // density ordinates) are generated at COMPILE TIME from the published
@@ -14,35 +14,22 @@
 //
 // Like the rest of common/rng.hpp, the sampler consumes raw
 // Xoshiro256pp output, so streams are fully specified by the seed
-// (docs/ARCHITECTURE.md §3). GaussianSampler wraps this class behind
-// GaussianSampler::Method::Ziggurat (the default engine since PR 5).
+// (docs/ARCHITECTURE.md §3). GaussianSampler, the library's one normal
+// sampler, calls these kernels on its own stream.
 #pragma once
 
-#include <cstdint>
+#include <array>
+#include <cstddef>
 #include <span>
 
 #include "common/rng.hpp"
 
 namespace ptrng {
 
-/// Standard-normal sampler (mean 0, variance 1) using the 256-layer
-/// ziggurat; ~2-3x faster than the Marsaglia polar method.
-class ZigguratNormal {
- public:
-  explicit ZigguratNormal(std::uint64_t seed = 0x5eedcafef00dULL) noexcept
-      : rng_(seed) {}
-  explicit ZigguratNormal(Xoshiro256pp rng) noexcept : rng_(rng) {}
-
-  /// One N(0,1) sample.
-  double operator()() noexcept { return draw(rng_); }
-
-  /// Batched draws, bit-identical to out.size() operator()() calls on
-  /// the same stream (the ziggurat keeps no cross-draw state, so the
-  /// batch is just the scalar path inlined across the block).
-  void fill(std::span<double> out) noexcept { fill(rng_, out); }
-
-  /// One variate from an external uniform stream — the building block
-  /// GaussianSampler dispatches to.
+/// Standard-normal (mean 0, variance 1) kernels of the 256-layer
+/// ziggurat, each drawing from an external uniform stream.
+struct ZigguratNormal {
+  /// One variate.
   static double draw(Xoshiro256pp& rng) noexcept;
 
   /// Batched draws from an external uniform stream, bit-identical to
@@ -59,12 +46,6 @@ class ZigguratNormal {
   /// consumption per lane never diverge from the scalar sampler.
   static void fill_lanes4(const std::array<Xoshiro256pp*, 4>& rngs,
                           std::size_t n, double* out) noexcept;
-
-  /// Access to the underlying uniform generator (e.g. for mixing streams).
-  Xoshiro256pp& uniform_rng() noexcept { return rng_; }
-
- private:
-  Xoshiro256pp rng_;
 };
 
 }  // namespace ptrng

@@ -22,7 +22,7 @@ namespace {
 /// where the expanded form has lost all but ~3 digits, the factored
 /// form (1-rho)^2 + 4 rho sin^2(omega/2) takes over. Above it the
 /// expanded form stays, so well-conditioned banks (ring banks at the
-/// default floor ratio of 1e-7 or above, the pinned sampler KATs) keep
+/// default floor ratio of 1e-7 or above, the pinned stream KATs) keep
 /// their realized streams bit-for-bit.
 double stage_psd(double rho, double fs, double f) {
   const double omega = constants::two_pi * f / fs;
@@ -185,8 +185,7 @@ FilterBankFlicker::FilterBankFlicker(const Config& config)
   gauss_.reserve(rho_.size());
   state_.resize(rho_.size());
   for (std::size_t k = 0; k < rho_.size(); ++k) {
-    gauss_.emplace_back(chunk_seed(config.seed, k),
-                        config.sampler.gauss_method);
+    gauss_.emplace_back(chunk_seed(config.seed, k));
     state_[k] = gauss_[k](0.0, sigma_[k]);
   }
 }
@@ -213,9 +212,7 @@ void FilterBankFlicker::fill(std::span<double> out) {
   // sampler. 1- and 2-stage tails stay scalar: there the dummy lanes
   // would cost more than they save.
   const std::size_t n_packs = simd::active() ? n_stages / simd::kLanes : 0;
-  const bool pad_tail = simd::active() && n_stages % simd::kLanes == 3 &&
-                        !gauss_.empty() &&
-                        gauss_[0].method() == GaussianSampler::Method::Ziggurat;
+  const bool pad_tail = simd::active() && n_stages % simd::kLanes == 3;
   const std::size_t n_tail =
       pad_tail ? 0 : n_stages - simd::kLanes * n_packs;
   const std::size_t n_vec_packs = n_packs + (pad_tail ? 1 : 0);
@@ -393,8 +390,7 @@ double FilterBankFlicker::target_psd(double f) const {
 
 FilterBankFlicker::Config flicker_band_config(double amplitude, double fs,
                                               double f_min, std::uint64_t seed,
-                                              unsigned stages_per_decade,
-                                              SamplerPolicy sampler) {
+                                              unsigned stages_per_decade) {
   FilterBankFlicker::Config cfg;
   cfg.amplitude = amplitude;
   cfg.fs = fs;
@@ -402,7 +398,6 @@ FilterBankFlicker::Config flicker_band_config(double amplitude, double fs,
   cfg.f_max = fs / 4.0;
   cfg.stages_per_decade = stages_per_decade;
   cfg.seed = seed;
-  cfg.sampler = sampler;
   return cfg;
 }
 

@@ -22,7 +22,6 @@
 
 #include "common/rng.hpp"
 #include "noise/noise_source.hpp"
-#include "noise/sampler_policy.hpp"
 
 namespace ptrng::noise {
 
@@ -37,9 +36,6 @@ class FilterBankFlicker final : public NoiseSource {
     double f_max = 0.0;          ///< upper band edge; 0 -> fs/4
     unsigned stages_per_decade = 3;
     std::uint64_t seed = 0x1f1cce5;
-    /// Sampler policy for every per-stage stream (§5 "Sampler policy");
-    /// Polar reproduces the pre-PR-5 realized streams bit-for-bit.
-    SamplerPolicy sampler{};
   };
 
   explicit FilterBankFlicker(const Config& config);
@@ -134,6 +130,6 @@ class FilterBankFlicker final : public NoiseSource {
 /// between them.
 [[nodiscard]] FilterBankFlicker::Config flicker_band_config(
     double amplitude, double fs, double f_min, std::uint64_t seed,
-    unsigned stages_per_decade = 3, SamplerPolicy sampler = {});
+    unsigned stages_per_decade = 3);
 
 }  // namespace ptrng::noise

@@ -15,7 +15,6 @@
 
 #include "common/rng.hpp"
 #include "noise/noise_source.hpp"
-#include "noise/sampler_policy.hpp"
 
 namespace ptrng::noise {
 
@@ -29,9 +28,6 @@ class KasdinFlicker final : public NoiseSource {
     std::size_t fir_length = 1 << 14;  ///< impulse-response truncation
     std::size_t block = 1 << 13;       ///< generation block size
     std::uint64_t seed = 0x4a5d17;
-    /// Sampler policy for the driving white noise (§5 "Sampler
-    /// policy"); Polar reproduces the pre-PR-5 streams bit-for-bit.
-    SamplerPolicy sampler{};
   };
 
   explicit KasdinFlicker(const Config& config);

@@ -5,9 +5,8 @@
 namespace ptrng::noise {
 
 WhiteGaussianNoise::WhiteGaussianNoise(double sigma, double fs,
-                                       std::uint64_t seed,
-                                       SamplerPolicy sampler)
-    : sigma_(sigma), fs_(fs), gauss_(seed, sampler.gauss_method) {
+                                       std::uint64_t seed)
+    : sigma_(sigma), fs_(fs), gauss_(seed) {
   PTRNG_EXPECTS(sigma >= 0.0);
   PTRNG_EXPECTS(fs > 0.0);
 }

@@ -6,7 +6,6 @@
 
 #include "common/rng.hpp"
 #include "noise/noise_source.hpp"
-#include "noise/sampler_policy.hpp"
 
 namespace ptrng::noise {
 
@@ -14,10 +13,7 @@ namespace ptrng::noise {
 class WhiteGaussianNoise final : public NoiseSource {
  public:
   /// sigma: per-sample standard deviation; fs: sample rate [Hz].
-  /// `sampler` selects the sampler policy (docs/ARCHITECTURE.md §5
-  /// "Sampler policy"); Polar reproduces the pre-PR-5 streams.
-  WhiteGaussianNoise(double sigma, double fs, std::uint64_t seed,
-                     SamplerPolicy sampler = {});
+  WhiteGaussianNoise(double sigma, double fs, std::uint64_t seed);
 
   double next() override { return sigma_ * gauss_(); }
 

@@ -9,7 +9,7 @@ namespace ptrng::oscillator {
 
 GateChainOscillator::GateChainOscillator(const GateChainConfig& config)
     : config_(config),
-      gauss_(config.seed, config.sampler.gauss_method) {
+      gauss_(config.seed) {
   PTRNG_EXPECTS(config.n_stages >= 3);
   PTRNG_EXPECTS(config.n_stages % 2 == 1);
   PTRNG_EXPECTS(config.stage_delay > 0.0);
@@ -29,8 +29,7 @@ GateChainOscillator::GateChainOscillator(const GateChainConfig& config)
     const double fs = 1.0 / config.stage_delay;
     flicker_.emplace(noise::flicker_band_config(
         static_cast<double>(config.n_stages) * config.flicker_amplitude, fs,
-        config.flicker_floor_hz, config.seed + 0x1111ULL, 3,
-        config.sampler));
+        config.flicker_floor_hz, config.seed + 0x1111ULL, 3));
     // Two traversals per period; bounded by perfect correlation.
     sigma_fl_ = 2.0 * flicker_->stationary_sd();
   }
@@ -88,7 +87,6 @@ RingOscillatorConfig GateChainOscillator::equivalent_phase_config() const {
   // period grid... kept 0 here; cross-validation uses measured fits.
   cfg.b_fl = 0.0;
   cfg.seed = config_.seed;
-  cfg.sampler = config_.sampler;
   return cfg;
 }
 

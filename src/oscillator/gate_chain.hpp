@@ -26,9 +26,6 @@ struct GateChainConfig {
   double flicker_amplitude = 0.0;
   double flicker_floor_hz = 100.0;
   std::uint64_t seed = 0x9a7ec4a1ULL;
-  /// Sampler policy for the shared thermal stream and the summed stage
-  /// flicker bank (docs/ARCHITECTURE.md §5 "Sampler policy").
-  noise::SamplerPolicy sampler{};
 };
 
 /// Gate-level ring oscillator producing periods as sums of noisy stage

@@ -10,7 +10,7 @@ namespace ptrng::oscillator {
 
 RingOscillator::RingOscillator(const RingOscillatorConfig& config)
     : config_(config),
-      gauss_(config.seed, config.sampler.gauss_method) {
+      gauss_(config.seed) {
   PTRNG_EXPECTS(config.f0 > 0.0);
   PTRNG_EXPECTS(config.b_th >= 0.0);
   PTRNG_EXPECTS(config.b_fl >= 0.0);
@@ -28,8 +28,7 @@ RingOscillator::RingOscillator(const RingOscillatorConfig& config)
     flicker_.emplace(noise::flicker_band_config(
         config.b_fl / (config.f0 * config.f0 * config.f0 * config.f0),
         config.f0, config.f0 * config.flicker_floor_ratio,
-        config.seed ^ 0xf11c4e5eedULL, config.flicker_stages_per_decade,
-        config.sampler));
+        config.seed ^ 0xf11c4e5eedULL, config.flicker_stages_per_decade));
     sigma_fl_ = flicker_->stationary_sd();
   }
 }

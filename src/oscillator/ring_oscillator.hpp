@@ -66,10 +66,6 @@ struct RingOscillatorConfig {
   /// fractional: f_actual = f0 * (1 + mismatch).
   double mismatch = 0.0;
   std::uint64_t seed = 0x05c111a701ULL;
-  /// Sampler policy for the thermal draws and every flicker stage
-  /// (docs/ARCHITECTURE.md §5 "Sampler policy"); Polar reproduces the
-  /// pre-PR-5 realized period streams bit-for-bit.
-  noise::SamplerPolicy sampler{};
 
   /// The analytic phase PSD this configuration realizes.
   [[nodiscard]] phase_noise::PhasePsd phase_psd() const {

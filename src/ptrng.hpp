@@ -38,16 +38,13 @@
 #include "stats/special.hpp"
 
 /// \namespace ptrng::noise
-/// Streaming noise processes: white, 1/f^alpha (Kasdin, Voss–McCartney,
-/// filter bank, spectral synthesis), random telegraph noise, and the
-/// sidedness-aware power-law PSD bookkeeping.
+/// Streaming noise processes: white, 1/f flicker (the filter-bank engine
+/// and the exact Kasdin 1/f^alpha oracle), and the sidedness-aware
+/// power-law PSD bookkeeping.
 #include "noise/filter_bank.hpp"
 #include "noise/kasdin.hpp"
 #include "noise/noise_source.hpp"
 #include "noise/psd_model.hpp"
-#include "noise/rtn.hpp"
-#include "noise/spectral_synthesis.hpp"
-#include "noise/voss.hpp"
 #include "noise/white.hpp"
 
 /// \namespace ptrng::transistor

@@ -9,9 +9,7 @@
 // noise::NoiseSource::fill) so hot paths can block and parallelize;
 // transforms are streaming and stateful (carry state persists across
 // block boundaries), so a pipeline fed in arbitrary block sizes produces
-// exactly the same bits as one fed the whole stream at once. The legacy
-// free functions in trng/postprocess.hpp are thin wrappers over these
-// transforms.
+// exactly the same bits as one fed the whole stream at once.
 //
 // Since PR 7 the PUBLIC output surface is byte-first: consumers call
 // fill_bytes()/generate_bytes() (the RBG service, the conditioner and
@@ -179,7 +177,7 @@ class RawRecorderTap final : public TapStage {
 /// Streaming XOR decimation (piling-up corrector): emits the XOR of each
 /// non-overlapping `factor`-bit group; a trailing partial group stays
 /// buffered until completed by a later push.
-class XorDecimateTransform : public BitTransform {
+class XorDecimateTransform final : public BitTransform {
  public:
   explicit XorDecimateTransform(std::size_t factor);
 
@@ -213,17 +211,6 @@ class VonNeumannTransform final : public BitTransform {
  private:
   bool has_pending_ = false;
   std::uint8_t pending_ = 0;
-};
-
-/// Parity of non-overlapping `block`-sized groups — the hardware-style
-/// alias of XOR decimation, kept as its own stage name.
-class ParityFilterTransform final : public XorDecimateTransform {
- public:
-  explicit ParityFilterTransform(std::size_t block)
-      : XorDecimateTransform(block) {}
-  [[nodiscard]] const char* name() const noexcept override {
-    return "parity_filter";
-  }
 };
 
 /// Composes one BitSource with N BitTransforms, an optional

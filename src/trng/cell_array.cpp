@@ -58,7 +58,6 @@ CellArrayTrng::CellArrayTrng(const CellArrayConfig& config)
     // Decorrelated per-cell stream, independent of later batching (the
     // same derivation rule as the multi-ring per-ring seeds).
     cell_cfg.seed = chunk_seed(config.seed, i);
-    cell_cfg.sampler = config.sampler;
     cells_.emplace_back(cell_cfg, config.sync_stages);
   }
 

@@ -26,7 +26,6 @@
 #include <span>
 #include <vector>
 
-#include "noise/sampler_policy.hpp"
 #include "oscillator/gate_chain.hpp"
 #include "trng/bit_stream.hpp"
 
@@ -61,8 +60,6 @@ struct CellArrayConfig {
   /// must be a multiple of 4.
   std::size_t decimation = 64;
   std::uint64_t seed = 0xce11a44aULL;
-  /// Sampler policy threaded into every cell (ARCHITECTURE §5).
-  noise::SamplerPolicy sampler{};
 };
 
 /// The cell-array BitSource. Raw stream = XOR of the latched cell bits,
@@ -105,8 +102,11 @@ class CellArrayTrng final : public BitSource {
   /// shift register. Each sample walks the bracket over the tick with
   /// GateChainOscillator::advance_to_block, and the latch carries across
   /// calls, so a cell advanced sample-by-sample and a cell advanced in
-  /// one batch realize the same stream.
-  struct Cell {
+  /// one batch realize the same stream. Cache-line aligned: the batch
+  /// path runs each cell on its own pool thread, and a cell's hot tail
+  /// (bracket, latch position) must not share a line with the next
+  /// cell's hot head (config, RNG state).
+  struct alignas(64) Cell {
     oscillator::GateChainOscillator osc;
     oscillator::EdgeBracket bracket;
     std::vector<std::uint8_t> latch;  ///< shift register (may be empty)

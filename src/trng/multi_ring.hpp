@@ -58,7 +58,9 @@ class MultiRingTrng final : public BitSource {
   }
 
  private:
-  struct SampledRing {
+  /// Cache-line aligned: the batch path runs each ring on its own pool
+  /// thread, so no two rings may share a line of hot state.
+  struct alignas(64) SampledRing {
     oscillator::RingOscillator osc;
     oscillator::EdgeBracket bracket;
     explicit SampledRing(const oscillator::RingOscillatorConfig& cfg)

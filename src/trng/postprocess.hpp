@@ -1,33 +1,14 @@
-// Algebraic post-processing blocks (AIS31 Fig. 1 third stage): entropy
-// compression of the raw binary sequence. These trade throughput for
-// entropy per bit.
-//
-// The batch functions below are thin wrappers over the streaming
-// BitTransform stages in trng/bit_stream.hpp (byte-identical output);
-// prefer composing the transforms through trng::Pipeline in new code.
+// Bit-stream quality figures used to judge post-processing: empirical
+// bias and lag-1 serial correlation. The post-processing blocks
+// themselves (AIS31 Fig. 1 third stage: XOR decimation, i.e. group
+// parity, and Von Neumann) are the streaming BitTransform stages in
+// trng/bit_stream.hpp.
 #pragma once
 
 #include <cstdint>
 #include <span>
-#include <vector>
 
 namespace ptrng::trng {
-
-/// XOR decimation: each output bit is the XOR of `factor` consecutive raw
-/// bits. Under the piling-up lemma, bias shrinks as
-/// 2^{factor-1} * bias^factor.
-[[nodiscard]] std::vector<std::uint8_t> xor_decimate(
-    std::span<const std::uint8_t> bits, std::size_t factor);
-
-/// Von Neumann corrector: 01 -> 0, 10 -> 1, 00/11 dropped. Removes all
-/// bias from iid input (at ~4x rate loss); does NOT fix correlation.
-[[nodiscard]] std::vector<std::uint8_t> von_neumann(
-    std::span<const std::uint8_t> bits);
-
-/// Parity of non-overlapping `block` sized groups (generalized XOR
-/// decimation alias, kept for API symmetry with hardware designs).
-[[nodiscard]] std::vector<std::uint8_t> parity_filter(
-    std::span<const std::uint8_t> bits, std::size_t block);
 
 /// Empirical bias |P(1) - 1/2| of a bit stream.
 [[nodiscard]] double bias(std::span<const std::uint8_t> bits);

@@ -86,16 +86,6 @@ TEST(BuildSanity, NoiseLinks) {
   noise::PowerLawPsd psd;
   psd.add_term(1.0, 0.0);
   EXPECT_DOUBLE_EQ(psd(1.0), 1.0);
-  // rtn.cpp
-  noise::RandomTelegraphNoise rtn(1.0, 1.0, 1e3, /*seed=*/7);
-  EXPECT_GT(rtn.analytic_psd(1.0), 0.0);
-  // spectral_synthesis.cpp
-  EXPECT_EQ(noise::synthesize_from_psd([](double) { return 1.0; }, 1.0, 16, 1)
-                .size(),
-            16u);
-  // voss.cpp
-  noise::VossMcCartney voss(8, 1.0, /*seed=*/3);
-  EXPECT_DOUBLE_EQ(voss.sample_rate(), 1.0);
 }
 
 TEST(BuildSanity, TransistorLinks) {

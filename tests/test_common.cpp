@@ -77,27 +77,6 @@ TEST(Xoshiro256pp, UniformMeanVariance) {
   EXPECT_NEAR(var, 1.0 / 12.0, 0.002);
 }
 
-TEST(Xoshiro256pp, UniformBelowUnbiased) {
-  Xoshiro256pp rng(5);
-  constexpr std::uint64_t bound = 6;
-  std::array<int, bound> counts{};
-  const int n = 120000;
-  for (int i = 0; i < n; ++i)
-    ++counts[rng.uniform_below(bound)];
-  for (auto c : counts)
-    EXPECT_NEAR(static_cast<double>(c), n / 6.0, 5.0 * std::sqrt(n / 6.0));
-}
-
-TEST(Xoshiro256pp, JumpDecorrelates) {
-  Xoshiro256pp a(42);
-  Xoshiro256pp b(42);
-  b.jump();
-  int equal = 0;
-  for (int i = 0; i < 1000; ++i)
-    if (a.next() == b.next()) ++equal;
-  EXPECT_EQ(equal, 0);
-}
-
 TEST(GaussianSampler, MomentsMatchStandardNormal) {
   GaussianSampler g(123);
   const int n = 400000;

@@ -1,5 +1,6 @@
-// Unit tests for the noise generators: PSD calibration of every 1/f
-// family, stationarity, RTN statistics, power-law model bookkeeping.
+// Unit tests for the noise generators: PSD calibration of the filter-bank
+// flicker engine and the Kasdin oracle, stationarity, power-law model
+// bookkeeping.
 #include <gtest/gtest.h>
 
 #include "ignore_result.hpp"
@@ -11,8 +12,6 @@
 #include "noise/filter_bank.hpp"
 #include "noise/kasdin.hpp"
 #include "noise/psd_model.hpp"
-#include "noise/rtn.hpp"
-#include "noise/voss.hpp"
 #include "noise/white.hpp"
 #include "stats/descriptive.hpp"
 #include "stats/psd.hpp"
@@ -267,76 +266,6 @@ TEST(KasdinFlicker, BlockGenerationIsSeamless) {
     else mid_block.add(x[i]);
   }
   EXPECT_NEAR(at_edges.variance() / mid_block.variance(), 1.0, 0.3);
-}
-
-TEST(Rtn, FlipRateAndMoments) {
-  const double lambda = 0.05;  // per second
-  const double fs = 1.0;
-  RandomTelegraphNoise rtn(1.0, lambda, fs, 7);
-  std::size_t flips = 0;
-  double prev = rtn.next();
-  const std::size_t n = 400'000;
-  stats::RunningStats rs;
-  rs.add(prev);
-  for (std::size_t i = 1; i < n; ++i) {
-    const double v = rtn.next();
-    if (v != prev) ++flips;
-    prev = v;
-    rs.add(v);
-  }
-  // Expected flips ~ n * (1 - exp(-lambda/fs)).
-  const double expected =
-      static_cast<double>(n) * (1.0 - std::exp(-lambda / fs));
-  EXPECT_NEAR(static_cast<double>(flips), expected, 5.0 * std::sqrt(expected));
-  EXPECT_NEAR(rs.mean(), 0.0, 0.05);
-  EXPECT_NEAR(rs.variance(), 1.0, 0.01);
-}
-
-TEST(Rtn, LorentzianPsdShape) {
-  const double lambda = 0.01;
-  RandomTelegraphNoise rtn(1.0, lambda, 1.0, 8);
-  // Analytic: flat below lambda/pi, -2 slope above.
-  const double low = rtn.analytic_psd(1e-5);
-  const double corner = rtn.analytic_psd(lambda / M_PI);
-  EXPECT_NEAR(corner / low, 0.5, 0.01);
-  const double high1 = rtn.analytic_psd(0.1);
-  const double high2 = rtn.analytic_psd(0.2);
-  EXPECT_NEAR(high1 / high2, 4.0, 0.05);
-}
-
-TEST(RtnSuperposition, ApproximatesOneOverF) {
-  RtnSuperposition::Config cfg;
-  cfg.traps = 30;
-  cfg.lambda_min = 1e-4;
-  cfg.lambda_max = 0.5;
-  cfg.amplitude = 1.0;
-  cfg.fs = 1.0;
-  cfg.seed = 9;
-  RtnSuperposition src(cfg);
-  EXPECT_EQ(src.trap_count(), 30u);
-  // Analytic Lorentzian sum slope ~ -1 in the mid-band.
-  std::vector<double> fs_grid, psd_vals;
-  for (double f = 3e-4; f < 3e-2; f *= 1.5) {
-    fs_grid.push_back(f);
-    psd_vals.push_back(src.analytic_psd(f));
-  }
-  double slope_sum = 0.0;
-  for (std::size_t i = 1; i < fs_grid.size(); ++i)
-    slope_sum += std::log(psd_vals[i] / psd_vals[i - 1]) /
-                 std::log(fs_grid[i] / fs_grid[i - 1]);
-  const double mean_slope =
-      slope_sum / static_cast<double>(fs_grid.size() - 1);
-  EXPECT_NEAR(mean_slope, -1.0, 0.25);
-}
-
-TEST(Voss, ProducesLowFrequencyExcess) {
-  VossMcCartney src(16, 1.0, 10);
-  const auto x = collect(src, 1 << 17);
-  const auto est = stats::welch(x, 1.0, 1 << 12);
-  const double slope = stats::psd_slope(est, 1e-3, 0.1);
-  // Voss is a stair-step pink approximation: slope in (-1.3, -0.5).
-  EXPECT_LT(slope, -0.5);
-  EXPECT_GT(slope, -1.4);
 }
 
 TEST(PowerLawPsd, EvaluationAndCoefficients) {

@@ -18,7 +18,6 @@
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "common/simd.hpp"
-#include "common/ziggurat.hpp"
 #include "measurement/counter.hpp"
 #include "noise/filter_bank.hpp"
 #include "oscillator/ring_oscillator.hpp"
@@ -183,11 +182,11 @@ TEST(SimdOps, ForceScalarToggle) {
 // GaussianSampler::fill_lanes differential tests.
 // ---------------------------------------------------------------------
 
-std::vector<double> lanes_fill(GaussianSampler::Method method, std::size_t n,
-                               bool force) {
-  std::array<GaussianSampler, 4> samplers{
-      GaussianSampler(11, method), GaussianSampler(22, method),
-      GaussianSampler(33, method), GaussianSampler(44, method)};
+std::vector<double> lanes_fill(std::size_t n, bool force) {
+  std::array<GaussianSampler, 4> samplers{GaussianSampler(11),
+                                          GaussianSampler(22),
+                                          GaussianSampler(33),
+                                          GaussianSampler(44)};
   const std::array<GaussianSampler*, 4> lanes{&samplers[0], &samplers[1],
                                               &samplers[2], &samplers[3]};
   std::vector<double> out(4 * n);
@@ -201,27 +200,18 @@ std::vector<double> lanes_fill(GaussianSampler::Method method, std::size_t n,
 
 TEST(FillLanes, ZigguratSimdMatchesScalarFallback) {
   // 100k per lane crosses the vector slow-path (~1.5% of draws) often.
-  for (std::size_t n : {1u, 7u, 100'000u}) {
-    EXPECT_EQ(lanes_fill(GaussianSampler::Method::Ziggurat, n, false),
-              lanes_fill(GaussianSampler::Method::Ziggurat, n, true))
-        << "n=" << n;
-  }
+  for (std::size_t n : {1u, 7u, 100'000u})
+    EXPECT_EQ(lanes_fill(n, false), lanes_fill(n, true)) << "n=" << n;
 }
 
 TEST(FillLanes, MatchesIndependentPerLaneDraws) {
   const std::size_t n = 5000;
-  for (auto method : {GaussianSampler::Method::Ziggurat,
-                      GaussianSampler::Method::Polar}) {
-    const auto out = lanes_fill(method, n, false);
-    std::array<GaussianSampler, 4> ref{
-        GaussianSampler(11, method), GaussianSampler(22, method),
-        GaussianSampler(33, method), GaussianSampler(44, method)};
-    for (std::size_t i = 0; i <= n; ++i)  // <= n covers the post-fill round
-      for (std::size_t l = 0; l < 4; ++l)
-        ASSERT_EQ(out[4 * i + l], ref[l]())
-            << "method=" << static_cast<int>(method) << " i=" << i
-            << " lane=" << l;
-  }
+  const auto out = lanes_fill(n, false);
+  std::array<GaussianSampler, 4> ref{GaussianSampler(11), GaussianSampler(22),
+                                     GaussianSampler(33), GaussianSampler(44)};
+  for (std::size_t i = 0; i <= n; ++i)  // <= n covers the post-fill round
+    for (std::size_t l = 0; l < 4; ++l)
+      ASSERT_EQ(out[4 * i + l], ref[l]()) << "i=" << i << " lane=" << l;
 }
 
 // ---------------------------------------------------------------------

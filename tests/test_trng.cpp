@@ -10,6 +10,7 @@
 #include "common/rng.hpp"
 #include "oscillator/oscillator_pair.hpp"
 #include "stat_tolerance.hpp"
+#include "trng/bit_stream.hpp"
 #include "trng/entropy.hpp"
 #include "trng/ero_trng.hpp"
 #include "trng/online_test.hpp"
@@ -152,8 +153,10 @@ TEST(XorDecimate, ReducesBias) {
   Xoshiro256pp rng(6);
   std::vector<std::uint8_t> bits(600'000);
   for (auto& b : bits) b = rng.uniform() < 0.6 ? 1 : 0;  // bias 0.1
-  const auto x2 = xor_decimate(bits, 2);
-  const auto x4 = xor_decimate(bits, 4);
+  XorDecimateTransform by2(2), by4(4);
+  std::vector<std::uint8_t> x2, x4;
+  by2.push(bits, x2);
+  by4.push(bits, x4);
   // Piling-up: bias(2) = 2*0.1^2 = 0.02; bias(4) = 8*0.1^4 = 8e-4.
   // Bands from the binomial CI width of each stream, not hand-tuned.
   EXPECT_NEAR(bias(bits), 0.1,
@@ -168,7 +171,9 @@ TEST(VonNeumann, RemovesBiasEntirely) {
   Xoshiro256pp rng(7);
   std::vector<std::uint8_t> bits(1'000'000);
   for (auto& b : bits) b = rng.uniform() < 0.7 ? 1 : 0;
-  const auto out = von_neumann(bits);
+  VonNeumannTransform vn;
+  std::vector<std::uint8_t> out;
+  vn.push(bits, out);
   // A pair is kept with probability 2*p*(1-p) = 0.42; the output count is
   // binomial over the 500k pairs and the output bias is that of a fair
   // coin over out.size() bits — both bands from the CI width.
@@ -189,7 +194,9 @@ TEST(VonNeumann, DoesNotFixCorrelation) {
     if (rng.uniform() < 0.05) state ^= 1;
     b = state;
   }
-  const auto out = von_neumann(bits);
+  VonNeumannTransform vn;
+  std::vector<std::uint8_t> out;
+  vn.push(bits, out);
   ASSERT_GT(out.size(), 10000u);
   // Sticky input leaves the VN output correlated (the point of this
   // test) but still symmetric; effective n ~ out.size()/2 for the band.

@@ -1,7 +1,6 @@
-// Distribution-quality tests for the 256-layer ziggurat sampler (the
-// GaussianSampler default engine since PR 5) and statistical-equivalence
-// checks against the Marsaglia polar method it replaced. Bands follow
-// the stat_tolerance.hpp conventions (z = 5 unless stated).
+// Distribution-quality tests for the 256-layer ziggurat sampler, the
+// engine behind GaussianSampler. Bands follow the stat_tolerance.hpp
+// conventions (z = 5 unless stated).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -9,7 +8,6 @@
 #include <vector>
 
 #include "common/rng.hpp"
-#include "common/ziggurat.hpp"
 #include "stat_tolerance.hpp"
 #include "stats/normality.hpp"
 #include "stats/special.hpp"
@@ -20,27 +18,19 @@ using namespace ptrng;
 
 constexpr double kZigguratR = 3.6541528853610088;  // 256-layer tail edge
 
-std::vector<double> draw_block(GaussianSampler::Method method,
-                               std::uint64_t seed, std::size_t n) {
-  GaussianSampler g(seed, method);
+std::vector<double> draw_block(std::uint64_t seed, std::size_t n) {
+  GaussianSampler g(seed);
   std::vector<double> out(n);
   g.fill(out);
   return out;
-}
-
-TEST(Ziggurat, DefaultMethodIsZigguratAndAccessorReports) {
-  GaussianSampler def(1);
-  EXPECT_EQ(def.method(), GaussianSampler::Method::Ziggurat);
-  GaussianSampler pol(1, GaussianSampler::Method::Polar);
-  EXPECT_EQ(pol.method(), GaussianSampler::Method::Polar);
 }
 
 TEST(Ziggurat, FillMatchesScalarExactly) {
   // fill() must be BIT-identical to stepping, including across
   // unaligned split boundaries (the ziggurat keeps no cross-draw
   // state, so any split must land on the same stream).
-  GaussianSampler stepped(0x216, GaussianSampler::Method::Ziggurat);
-  GaussianSampler batched(0x216, GaussianSampler::Method::Ziggurat);
+  GaussianSampler stepped(0x216);
+  GaussianSampler batched(0x216);
   std::vector<double> expected(4097);
   for (auto& x : expected) x = stepped();
   std::vector<double> got(expected.size());
@@ -53,38 +43,9 @@ TEST(Ziggurat, FillMatchesScalarExactly) {
   for (int i = 0; i < 100; ++i) EXPECT_EQ(batched(), stepped());
 }
 
-TEST(Ziggurat, StandaloneClassMatchesSamplerDispatch) {
-  // common::ZigguratNormal and GaussianSampler{Method::Ziggurat} must
-  // realize the same stream from the same seed (the sampler dispatches
-  // to the class, it does not reimplement it).
-  ZigguratNormal zig(0x51a);
-  GaussianSampler gauss(0x51a, GaussianSampler::Method::Ziggurat);
-  for (int i = 0; i < 1000; ++i) ASSERT_EQ(zig(), gauss());
-  ZigguratNormal zfill(0x51a);
-  GaussianSampler gfill(0x51a);
-  std::vector<double> a(777), b(777);
-  zfill.fill(a);
-  gfill.fill(b);
-  EXPECT_EQ(a, b);
-}
-
-TEST(Ziggurat, PolarFillStillMatchesPolarStepping) {
-  // The Polar engine (pre-PR-5 streams) keeps its pair-cache semantics:
-  // fill == stepping, including the odd-length cached tail.
-  GaussianSampler stepped(0x90a7, GaussianSampler::Method::Polar);
-  GaussianSampler batched(0x90a7, GaussianSampler::Method::Polar);
-  std::vector<double> expected(1001);
-  for (auto& x : expected) x = stepped();
-  std::vector<double> got(expected.size());
-  batched.fill(got);
-  for (std::size_t i = 0; i < got.size(); ++i)
-    ASSERT_EQ(got[i], expected[i]) << "sample " << i;
-  EXPECT_EQ(batched(), stepped());  // cached partner drains identically
-}
-
 TEST(Ziggurat, MomentsMatchStandardNormal) {
   const std::size_t n = 1u << 22;
-  const auto x = draw_block(GaussianSampler::Method::Ziggurat, 0x2195, n);
+  const auto x = draw_block(0x2195, n);
   double s1 = 0, s2 = 0, s3 = 0, s4 = 0;
   for (double v : x) {
     s1 += v;
@@ -100,7 +61,7 @@ TEST(Ziggurat, MomentsMatchStandardNormal) {
 }
 
 TEST(Ziggurat, KolmogorovSmirnovAndJarqueBera) {
-  const auto x = draw_block(GaussianSampler::Method::Ziggurat, 0x2196, 100000);
+  const auto x = draw_block(0x2196, 100000);
   EXPECT_FALSE(stats::ks_normal(x).reject(0.001));
   EXPECT_FALSE(stats::jarque_bera(x).reject(0.001));
 }
@@ -110,7 +71,7 @@ TEST(Ziggurat, TailMassMatchesNormal) {
   // layers, |x| > r can only come from the explicit Marsaglia tail
   // sampler (a broken tail path would zero this count).
   const std::size_t n = 4u << 20;
-  const auto x = draw_block(GaussianSampler::Method::Ziggurat, 0x2197, n);
+  const auto x = draw_block(0x2197, n);
   std::size_t beyond3 = 0, beyond_r = 0, positive = 0;
   for (double v : x) {
     if (std::abs(v) > 3.0) ++beyond3;
@@ -126,28 +87,6 @@ TEST(Ziggurat, TailMassMatchesNormal) {
   // Sign symmetry (the sign bit is independent of the magnitude).
   EXPECT_NEAR(static_cast<double>(positive), static_cast<double>(n) * 0.5,
               ptrng::testing::count_tol(n, 0.5));
-}
-
-TEST(Ziggurat, PolarAndZigguratAreStatisticallyEquivalent) {
-  // Same marginal distribution from either engine: mean difference
-  // within z*sqrt(2/n) and variance ratio within the two-sample
-  // chi-square band (variance_ratio_tol with m = n/2 since BOTH sides
-  // are estimated), plus per-engine normality.
-  const std::size_t n = 1u << 21;
-  const auto zig = draw_block(GaussianSampler::Method::Ziggurat, 0xe9a1, n);
-  const auto pol = draw_block(GaussianSampler::Method::Polar, 0xe9a2, n);
-  double mz = 0, mp = 0, vz = 0, vp = 0;
-  for (double v : zig) mz += v;
-  for (double v : pol) mp += v;
-  mz /= static_cast<double>(n);
-  mp /= static_cast<double>(n);
-  for (double v : zig) vz += (v - mz) * (v - mz);
-  for (double v : pol) vp += (v - mp) * (v - mp);
-  vz /= static_cast<double>(n - 1);
-  vp /= static_cast<double>(n - 1);
-  EXPECT_NEAR(mz - mp, 0.0,
-              5.0 * std::sqrt(2.0 / static_cast<double>(n)));
-  EXPECT_NEAR(vz / vp, 1.0, ptrng::testing::variance_ratio_tol(n / 2));
 }
 
 }  // namespace
